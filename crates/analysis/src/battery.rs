@@ -1,7 +1,7 @@
 //! The invariant battery: wiring the pure checks of [`crate::verify`] to a
 //! live [`AntonSimulation`].
 //!
-//! A [`Verifier`] owns an *independent* single-rank, single-thread
+//! A [`Verifier`] owns an *independent* one-node, single-thread
 //! [`ForcePipeline`] over the same system. Each sampled cycle it recomputes
 //! the short- and long-range forces at the engine's current positions and
 //! demands bitwise agreement with the engine's stored buffers — so every
@@ -75,7 +75,7 @@ impl Default for VerifyConfig {
 /// Closed-form invariant verifier bound to one simulation's system.
 pub struct Verifier {
     cfg: VerifyConfig,
-    /// Independent serial reference pipeline (SingleRank, 1 thread).
+    /// Independent serial reference pipeline (`Nodes(1)`, 1 thread).
     pipeline: ForcePipeline,
     scratch: RawForces,
     recompute: RawForces,
@@ -107,7 +107,7 @@ impl Verifier {
     pub fn with_config(sim: &AntonSimulation, cfg: VerifyConfig) -> Verifier {
         let sys = &sim.system;
         let n = sys.n_atoms();
-        let pipeline = ForcePipeline::new(sys, Decomposition::SingleRank, 1);
+        let pipeline = ForcePipeline::new(sys, Decomposition::Nodes(1), 1);
         let mass_q: Vec<i64> = sys
             .topology
             .mass
@@ -337,106 +337,74 @@ impl Verifier {
             ));
         }
 
-        self.check_census(sim, cycle, steps, cycles);
+        self.check_census(sim, cycle, cycles);
         self.samples += 1;
     }
 
     /// Exchange-census identities over the engine pipeline's counters.
-    fn check_census(&mut self, sim: &AntonSimulation, cycle: u64, steps_delta: u64, cycles: u64) {
+    fn check_census(&mut self, sim: &AntonSimulation, cycle: u64, cycles: u64) {
         let c = sim.pipeline.counters;
         let b = self.base_counters;
         let k = sim.system.params.longrange_every.max(1) as u64;
         let rebuilds = (c.rebuild_steps - b.rebuild_steps) + (c.reuse_steps - b.reuse_steps);
-        if sim.pipeline.rank_set().is_some() {
-            // Node decomposition: every inner step is metered once, every
-            // cycle evaluates long-range once, and every metered step ran
-            // the range-limited phase exactly once (rebuild or reuse).
+        // Every inner step is metered once, every cycle evaluates
+        // long-range once, and every metered step ran the range-limited
+        // phase exactly once (rebuild or reuse).
+        self.violations.extend(check_counter_linear(
+            Identity::CensusSteps,
+            cycle,
+            "steps_per_cycle",
+            c.steps - b.steps,
+            cycles,
+            k,
+        ));
+        self.violations.extend(check_counter_linear(
+            Identity::CensusSteps,
+            cycle,
+            "lr_steps_per_cycle",
+            c.lr_steps - b.lr_steps,
+            cycles,
+            1,
+        ));
+        self.violations.extend(check_scalars_equal(
+            Identity::CensusSteps,
+            cycle,
+            "rebuild_plus_reuse",
+            rebuilds as i128,
+            (c.steps - b.steps) as i128,
+        ));
+        // Modeled communication is exactly linear in the metered step
+        // counts (cumulative from counter zero, so the identity also
+        // survives checkpoint restore, which carries counters).
+        let links = sim.pipeline.rank_set().plan.total_links() as u64;
+        for (label, counter) in [
+            ("import_messages", c.import_messages),
+            ("reduce_messages", c.reduce_messages),
+        ] {
             self.violations.extend(check_counter_linear(
-                Identity::CensusSteps,
+                Identity::CensusComm,
                 cycle,
-                "steps_per_cycle",
-                c.steps - b.steps,
-                cycles,
-                k,
+                label,
+                counter,
+                c.steps,
+                links,
             ));
+        }
+        let [halo_msgs, halo_bytes, fft_msgs, fft_bytes] = sim.pipeline.mesh_lr_step_rates();
+        for (label, counter, rate) in [
+            ("mesh_halo_messages", c.mesh_halo_messages, halo_msgs),
+            ("mesh_halo_bytes", c.mesh_halo_bytes, halo_bytes),
+            ("fft_messages", c.fft_messages, fft_msgs),
+            ("fft_bytes", c.fft_bytes, fft_bytes),
+        ] {
             self.violations.extend(check_counter_linear(
-                Identity::CensusSteps,
+                Identity::CensusComm,
                 cycle,
-                "lr_steps_per_cycle",
-                c.lr_steps - b.lr_steps,
-                cycles,
-                1,
+                label,
+                counter,
+                c.lr_steps,
+                rate,
             ));
-            self.violations.extend(check_scalars_equal(
-                Identity::CensusSteps,
-                cycle,
-                "rebuild_plus_reuse",
-                rebuilds as i128,
-                (c.steps - b.steps) as i128,
-            ));
-            // Modeled communication is exactly linear in the metered step
-            // counts (cumulative from counter zero, so the identity also
-            // survives checkpoint restore, which carries counters).
-            let links = sim
-                .pipeline
-                .rank_set()
-                .map_or(0, |rs| rs.plan.total_links()) as u64;
-            for (label, counter) in [
-                ("import_messages", c.import_messages),
-                ("reduce_messages", c.reduce_messages),
-            ] {
-                self.violations.extend(check_counter_linear(
-                    Identity::CensusComm,
-                    cycle,
-                    label,
-                    counter,
-                    c.steps,
-                    links,
-                ));
-            }
-            if let Some([halo_msgs, halo_bytes, fft_msgs, fft_bytes]) =
-                sim.pipeline.mesh_lr_step_rates()
-            {
-                for (label, counter, rate) in [
-                    ("mesh_halo_messages", c.mesh_halo_messages, halo_msgs),
-                    ("mesh_halo_bytes", c.mesh_halo_bytes, halo_bytes),
-                    ("fft_messages", c.fft_messages, fft_msgs),
-                    ("fft_bytes", c.fft_bytes, fft_bytes),
-                ] {
-                    self.violations.extend(check_counter_linear(
-                        Identity::CensusComm,
-                        cycle,
-                        label,
-                        counter,
-                        c.lr_steps,
-                        rate,
-                    ));
-                }
-            }
-        } else {
-            // Single rank: no exchange metering, but the match cache still
-            // classifies every range-limited evaluation.
-            self.violations.extend(check_counter_linear(
-                Identity::CensusSteps,
-                cycle,
-                "rebuild_plus_reuse_per_cycle",
-                rebuilds,
-                cycles,
-                k,
-            ));
-            for (label, counter) in [
-                ("steps", c.steps - b.steps),
-                ("lr_steps", c.lr_steps - b.lr_steps),
-            ] {
-                self.violations.extend(check_counter_linear(
-                    Identity::CensusSteps,
-                    cycle,
-                    label,
-                    counter,
-                    steps_delta,
-                    0,
-                ));
-            }
         }
     }
 

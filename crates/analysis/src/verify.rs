@@ -25,7 +25,7 @@ pub enum Identity {
     /// Third law over the Ewald correction pair phase (same argument).
     ThirdLawCorrection,
     /// The engine's stored force buffers equal a bitwise recomputation by
-    /// an independent single-rank, single-thread pipeline at the same
+    /// an independent one-node, single-thread pipeline at the same
     /// positions — a per-cycle proof of parallel invariance.
     ForceConsistency,
     /// Total charge on the reciprocal mesh after spreading is

@@ -47,8 +47,8 @@ fn battery_clean_across_decompositions_and_threads() {
     for (n, seed) in [(55, 3), (60, 9)] {
         let mut census: Vec<(String, ExchangeCounters)> = Vec::new();
         for (decomp, threads) in [
-            (Decomposition::SingleRank, 1),
             (Decomposition::Nodes(1), 1),
+            (Decomposition::Nodes(1), 4),
             (Decomposition::Nodes(8), 1),
             (Decomposition::Nodes(8), 4),
             (Decomposition::Nodes(64), 4),
@@ -73,7 +73,7 @@ fn battery_clean_across_decompositions_and_threads() {
 
 #[test]
 fn corrupted_force_word_detected_as_force_consistency() {
-    let mut sim = verified_sim(55, 3, Decomposition::SingleRank, 1);
+    let mut sim = verified_sim(55, 3, Decomposition::Nodes(1), 1);
     sim.run_cycles(2);
     let mut v = Verifier::new(&sim);
     v.sample(&sim);
@@ -109,7 +109,7 @@ fn corrupted_long_force_word_detected_as_force_consistency() {
 
 #[test]
 fn corrupted_velocity_word_detected_as_momentum_and_energy() {
-    let mut sim = verified_sim(60, 9, Decomposition::SingleRank, 1);
+    let mut sim = verified_sim(60, 9, Decomposition::Nodes(1), 1);
     sim.run_cycles(2);
     let mut v = Verifier::new(&sim);
     v.sample(&sim);
@@ -128,7 +128,7 @@ fn corrupted_velocity_word_detected_as_momentum_and_energy() {
 
 #[test]
 fn displaced_position_detected_as_force_consistency() {
-    let mut sim = verified_sim(55, 3, Decomposition::SingleRank, 1);
+    let mut sim = verified_sim(55, 3, Decomposition::Nodes(1), 1);
     sim.run_cycles(2);
     let mut v = Verifier::new(&sim);
     sim.state.set_position_frac(3, [0.111, 0.222, 0.333]);
@@ -175,7 +175,7 @@ fn corrupted_lr_counter_detected_as_census() {
 
 #[test]
 fn corrupted_rebuild_counter_detected_as_census_steps() {
-    let mut sim = verified_sim(55, 3, Decomposition::SingleRank, 1);
+    let mut sim = verified_sim(55, 3, Decomposition::Nodes(1), 1);
     sim.run_cycles(2);
     let mut v = Verifier::new(&sim);
     sim.pipeline.counters.rebuild_steps += 1;
@@ -185,12 +185,12 @@ fn corrupted_rebuild_counter_detected_as_census_steps() {
         .iter()
         .find(|x| x.identity == Identity::CensusSteps)
         .expect("rebuild_steps skew must fail CensusSteps");
-    assert_eq!(hit.label, "rebuild_plus_reuse_per_cycle");
+    assert_eq!(hit.label, "rebuild_plus_reuse");
 }
 
 #[test]
 fn census_invariance_detects_cross_run_pair_count_skew() {
-    let mut sim = verified_sim(55, 3, Decomposition::SingleRank, 1);
+    let mut sim = verified_sim(55, 3, Decomposition::Nodes(1), 1);
     sim.run_cycles(2);
     let mut skewed = sim.pipeline.counters;
     skewed.match_pairs += 1;

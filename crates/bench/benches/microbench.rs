@@ -138,7 +138,7 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("anton_cycle_360_atoms", |b| {
         let mut sim = AntonSimulation::builder(water_system(120))
             .velocities_from_temperature(300.0, 7)
-            .decomposition(Decomposition::SingleRank)
+            .decomposition(Decomposition::Nodes(1))
             .build();
         b.iter(|| {
             sim.run_cycle();

@@ -165,8 +165,8 @@ fn numerical_error(sys: &anton_systems::System, sim: &AntonSimulation) -> f64 {
     let mut den = 0.0;
     let mut rl = anton_core::RawForces::zeroed(sys.n_atoms());
     // `range_limited` is `&mut self` (per-rank scratch); build a fresh
-    // single-rank pipeline rather than mutating the simulation's own.
-    anton_core::ForcePipeline::new(sys, anton_core::Decomposition::SingleRank, 1)
+    // one-node pipeline rather than mutating the simulation's own.
+    anton_core::ForcePipeline::new(sys, anton_core::Decomposition::Nodes(1), 1)
         .range_limited(sys, state, &mut rl);
     for (i, ex) in exact.iter().enumerate() {
         num += (rl.force_f64(i) - *ex).norm2();

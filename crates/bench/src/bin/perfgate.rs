@@ -14,7 +14,7 @@
 //!   between machines and runs, so only catastrophic slowdowns gate.
 //!
 //! Two additions on top of the baseline diff: the smoke geometry's
-//! single-rank step time must stay under an absolute checked-in ceiling
+//! 1-node/1-thread step time must stay under an absolute checked-in ceiling
 //! ([`MS_PER_STEP_CEILING`]), and every passing gate run appends its
 //! measured step times to `results/PERF_trend.json` so the perf
 //! trajectory across PRs stays reviewable.
@@ -33,7 +33,7 @@ const TREND_PATH: &str = "results/PERF_trend.json";
 const MODELED_REL_TOL: f64 = 1e-6;
 const MEASURED_FACTOR: f64 = 50.0;
 
-/// Absolute ceiling on the smoke waterbox's single-rank step time. The
+/// Absolute ceiling on the smoke waterbox's 1-node/1-thread step time. The
 /// persistent match cache plus the fused PPIP segment tables landed the
 /// reference machine at ~15-17 ms/step; the gap absorbs slower CI hosts
 /// while still failing loudly if the pipeline falls back off the cached
@@ -178,7 +178,7 @@ fn gate_bench(g: &mut Gate, base: &Json, cur: &Json) {
             g.measured(&ctx, key, b, c);
         }
     }
-    // Absolute ceiling on the smoke geometry's single-rank step time, on
+    // Absolute ceiling on the smoke geometry's 1-node/1-thread step time, on
     // top of the baseline-relative measured tier: the HTIS-shaped batch
     // pipeline's headline speedup must not silently erode.
     if cur.get("atoms").and_then(Json::as_u64) == Some(CEILING_ATOMS) {

@@ -248,14 +248,9 @@ fn traced_pass(sys: &System, cycles: usize) -> (Vec<TraceRow>, CkptStats) {
     // LongRange span is pure work while the Dispatch spans are pure pool
     // overhead — the measured cost behind the nodes=1 threads>1 slowdown.
     for &(nodes, threads) in &[(1usize, 1usize), (1, 4), (8, 2), (64, 4)] {
-        let decomposition = if nodes == 1 && threads == 1 {
-            Decomposition::SingleRank
-        } else {
-            Decomposition::Nodes(nodes)
-        };
         let mut builder = AntonSimulation::builder(sys.clone())
             .velocities_from_temperature(300.0, 7)
-            .decomposition(decomposition)
+            .decomposition(Decomposition::Nodes(nodes))
             .threads(threads)
             .tracing(true);
         // The 8-node row doubles as the checkpoint-cost probe: write a
@@ -358,7 +353,7 @@ fn main() {
     {
         let mut warm = AntonSimulation::builder(sys.clone())
             .velocities_from_temperature(300.0, 7)
-            .decomposition(Decomposition::SingleRank)
+            .decomposition(Decomposition::Nodes(1))
             .build();
         warm.run_cycles(2);
     }
@@ -367,14 +362,9 @@ fn main() {
     let mut row_counters: Vec<ExchangeCounters> = Vec::new();
     for &nodes in &[1usize, 8, 64] {
         for &threads in &[1usize, 2, 4] {
-            let decomposition = if nodes == 1 && threads == 1 {
-                Decomposition::SingleRank
-            } else {
-                Decomposition::Nodes(nodes)
-            };
             let mut sim = AntonSimulation::builder(sys.clone())
                 .velocities_from_temperature(300.0, 7)
-                .decomposition(decomposition)
+                .decomposition(Decomposition::Nodes(nodes))
                 .threads(threads)
                 .build();
             let t0 = Instant::now();
@@ -394,37 +384,28 @@ fn main() {
             verifier.assert_clean();
             row_counters.push(sim.pipeline.counters);
 
-            let mut row = Row {
+            let rs = sim.pipeline.rank_set();
+            let c = &sim.pipeline.counters;
+            let n = rs.rank_count();
+            let row = Row {
                 nodes,
                 threads,
                 ms_per_step,
                 lr_ms_per_eval,
-                links_per_rank: 0,
-                kb_per_step_rank: 0.0,
-                mean_hops: 0.0,
-                modeled_comm_us: 0.0,
-                fft_msgs_per_rank_lr: 0.0,
-                fft_kb_per_rank_lr: 0.0,
-                halo_kb_per_rank_lr: 0.0,
-                match_candidates: sim.pipeline.counters.match_candidates,
-                match_pairs: sim.pipeline.counters.match_pairs,
-                match_batches: sim.pipeline.counters.match_batches,
-                rebuild_steps: sim.pipeline.counters.rebuild_steps,
-                reuse_steps: sim.pipeline.counters.reuse_steps,
+                links_per_rank: rs.plan.max_links_per_rank() as u64,
+                kb_per_step_rank: c.per_rank_step_bytes(n) / 1024.0,
+                mean_hops: c.mean_hops(),
+                modeled_comm_us: c.modeled_step_comm_us(&MachineConfig::with_nodes(n), n),
+                fft_msgs_per_rank_lr: c.fft_messages_per_rank_lr_step(n),
+                fft_kb_per_rank_lr: c.fft_bytes_per_rank_lr_step(n) / 1024.0,
+                halo_kb_per_rank_lr: c.mesh_halo_bytes_per_rank_lr_step(n) / 1024.0,
+                match_candidates: c.match_candidates,
+                match_pairs: c.match_pairs,
+                match_batches: c.match_batches,
+                rebuild_steps: c.rebuild_steps,
+                reuse_steps: c.reuse_steps,
                 checksum: state_checksum(&sim),
             };
-            if let Some(rs) = sim.pipeline.rank_set() {
-                let c = &sim.pipeline.counters;
-                let cfg = MachineConfig::with_nodes(rs.rank_count());
-                let n = rs.rank_count();
-                row.links_per_rank = rs.plan.max_links_per_rank() as u64;
-                row.kb_per_step_rank = c.per_rank_step_bytes(n) / 1024.0;
-                row.mean_hops = c.mean_hops();
-                row.modeled_comm_us = c.modeled_step_comm_us(&cfg, n);
-                row.fft_msgs_per_rank_lr = c.fft_messages_per_rank_lr_step(n);
-                row.fft_kb_per_rank_lr = c.fft_bytes_per_rank_lr_step(n) / 1024.0;
-                row.halo_kb_per_rank_lr = c.mesh_halo_bytes_per_rank_lr_step(n) / 1024.0;
-            }
             println!(
                 "{:>5} | {:>3} | {:>7.3} | {:>7.3} | {:>10} | {:>12.2} | {:>4.2} | {:>15.3} | {:>12.1} | {:>11.2} | {:016x}",
                 row.nodes,

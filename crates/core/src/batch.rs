@@ -6,10 +6,11 @@
 //! bundles. This module is the software shape of that stage: a
 //! [`BatchQueue`] packs cutoff survivors into [`PairBatch`] lanes (with a
 //! geometry sidecar for the force scatter), and [`CellTiling`] is the
-//! static power-of-two cell decomposition the single-rank pipeline streams
-//! tile pairs from. Everything is allocation-free in steady state and
-//! bitwise deterministic: the queue records pairs in enumeration order,
-//! and batch lane order is the canonical force-merge order (detlint D5).
+//! static power-of-two cell decomposition that splits each home box into
+//! the tiles a rank streams tile pairs from. Everything is allocation-free
+//! in steady state and bitwise deterministic: the queue records pairs in
+//! enumeration order, and batch lane order is the canonical force-merge
+//! order (detlint D5).
 
 use anton_fixpoint::{FxVec3, QVec3, Q20};
 use anton_machine::{PairBatch, MATCH_WIDTH};
@@ -210,40 +211,56 @@ impl MatchCache {
     }
 }
 
-/// Static power-of-two cell decomposition for the single-rank pipeline.
+/// Static power-of-two cell decomposition of the home boxes.
 ///
 /// Per axis the cell count is the largest power of two whose cell width
 /// still covers `reach` (capped at 16 cells so the conservative pair list
 /// below stays small), so a particle's cell index is a plain shift of its
-/// raw fraction bits — no floating point between positions and tiles. The
-/// unordered cell-pair list is fixed at construction: a pair of cells is
-/// listed unless the minimum separation between them (circular cell
-/// distance minus one, times the cell width) already exceeds `reach`, so
-/// the listed tile pairs are a strict superset of every interacting pair.
+/// raw fraction bits — no floating point between positions and tiles.
+/// Against a power-of-two node grid every home box spans the same number
+/// of cells per axis: `cells / boxes` where cells nest in boxes, or one
+/// cell where a box is narrower than a cell. Each box's atoms are binned
+/// into the box's own cells ([`Self::cell_in_box`]), so one box-local
+/// cell-pair list, fixed at construction, serves every box: a pair of a
+/// box's cells is listed unless the minimum separation between them
+/// (circular cell distance minus one, times the cell width) already
+/// exceeds `reach`, so the listed tile pairs are a strict superset of
+/// every interacting pair inside the box. With one box the tiling is the
+/// plain cell grid of the whole periodic cell.
 #[derive(Clone, Debug)]
 pub struct CellTiling {
+    /// log2 of the cell count per axis over the whole periodic cell.
     log2_dims: [u32; 3],
-    /// Unordered cell pairs `(a, b)` with `a <= b` that can hold an
-    /// interacting pair.
+    /// log2 of the cells one home box spans per axis.
+    log2_box: [u32; 3],
+    /// Unordered box-local cell pairs `(a, b)` with `a <= b` that can hold
+    /// an interacting pair.
     pairs: Vec<(u32, u32)>,
 }
 
 impl CellTiling {
-    pub fn build(edge: [f64; 3], reach: f64) -> CellTiling {
+    /// Tile the periodic cell of edges `edge` for pairs within `reach`,
+    /// split over a node grid of `boxes` home boxes per axis (powers of
+    /// two; `[1, 1, 1]` tiles the whole cell as one box).
+    pub fn build(edge: [f64; 3], reach: f64, boxes: [usize; 3]) -> CellTiling {
         assert!(reach > 0.0);
         let mut log2_dims = [0u32; 3];
+        let mut log2_box = [0u32; 3];
         for k in 0..3 {
+            assert!(
+                boxes[k].is_power_of_two(),
+                "node grid axis {k} has {} boxes, not a power of two",
+                boxes[k]
+            );
             let mut m = 0u32;
             while m < 4 && edge[k] / (1u64 << (m + 1)) as f64 >= reach {
                 m += 1;
             }
             log2_dims[k] = m;
+            log2_box[k] = m.saturating_sub(boxes[k].trailing_zeros());
         }
-        let dims = [
-            1u32 << log2_dims[0],
-            1u32 << log2_dims[1],
-            1u32 << log2_dims[2],
-        ];
+        let dims = log2_dims.map(|m| 1u32 << m);
+        let local = log2_box.map(|m| 1u32 << m);
         let width = [
             edge[0] / dims[0] as f64,
             edge[1] / dims[1] as f64,
@@ -256,11 +273,11 @@ impl CellTiling {
             let circ = d.min(dims[k] - d);
             (circ.saturating_sub(1)) as f64 * width[k]
         };
-        let n = dims[0] * dims[1] * dims[2];
+        let n = local[0] * local[1] * local[2];
         let coord = |c: u32| {
-            let x = c % dims[0];
-            let y = (c / dims[0]) % dims[1];
-            let z = c / (dims[0] * dims[1]);
+            let x = c % local[0];
+            let y = (c / local[0]) % local[1];
+            let z = c / (local[0] * local[1]);
             [x, y, z]
         };
         let mut pairs = Vec::new();
@@ -274,28 +291,76 @@ impl CellTiling {
                 }
             }
         }
-        CellTiling { log2_dims, pairs }
+        CellTiling {
+            log2_dims,
+            log2_box,
+            pairs,
+        }
     }
 
+    /// Cells one home box spans (the tiles each box is split into).
     #[inline]
-    pub fn cell_count(&self) -> usize {
-        1usize << (self.log2_dims[0] + self.log2_dims[1] + self.log2_dims[2])
+    pub fn cells_per_box(&self) -> usize {
+        1usize << (self.log2_box[0] + self.log2_box[1] + self.log2_box[2])
     }
 
-    /// Cell of a particle from its raw signed fraction bits: bias to
-    /// unsigned order (so cell 0 starts at fraction 0 = box corner) and
+    /// Per-axis cell of a particle from one raw signed fraction word: bias
+    /// to unsigned order (so cell 0 starts at fraction −1 = box corner) and
     /// keep the top bits. Integer-exact — binning can never disagree with
     /// the fraction arithmetic the match stage runs on.
     #[inline]
-    pub fn cell_of(&self, raw: [i32; 3]) -> usize {
-        let bin = |r: i32, m: u32| ((((r as u32) ^ 0x8000_0000) as u64) >> (32 - m)) as usize;
-        let cx = bin(raw[0], self.log2_dims[0]);
-        let cy = bin(raw[1], self.log2_dims[1]);
-        let cz = bin(raw[2], self.log2_dims[2]);
-        (((cz << self.log2_dims[1]) | cy) << self.log2_dims[0]) | cx
+    fn axis_cell(raw: i32, log2: u32) -> u32 {
+        ((((raw as u32) ^ 0x8000_0000) as u64) >> (32 - log2)) as u32
     }
 
-    /// The static conservative cell-pair list.
+    /// Cell of a particle in the whole periodic cell (x fastest): the
+    /// reference binning tests check [`Self::cell_in_box`] against.
+    #[cfg(test)]
+    pub fn cell_of(&self, raw: [i32; 3]) -> usize {
+        let [lx, ly, _] = self.log2_dims;
+        let c: [u32; 3] = std::array::from_fn(|k| Self::axis_cell(raw[k], self.log2_dims[k]));
+        ((((c[2] << ly) | c[1]) << lx) | c[0]) as usize
+    }
+
+    /// Box-local cell (x fastest, `< cells_per_box()`) of a particle homed
+    /// in the box at node-grid coordinate `home`. A constraint-group member
+    /// homed with its leader can sit just outside the box; it is clamped
+    /// into the nearest of the box's edge cells, which never moves two
+    /// cells further apart, so the box-local pair list stays conservative.
+    #[inline]
+    pub fn cell_in_box(&self, home: [u32; 3], raw: [i32; 3]) -> usize {
+        let mut local = [0u32; 3];
+        for k in 0..3 {
+            let lb = self.log2_box[k];
+            if lb == 0 {
+                continue;
+            }
+            let cells = 1u32 << self.log2_dims[k];
+            let span = 1u32 << lb;
+            let off = Self::axis_cell(raw[k], self.log2_dims[k]).wrapping_sub(home[k] << lb)
+                & (cells - 1);
+            local[k] = if off < span {
+                off
+            } else {
+                let above = off - (span - 1);
+                let below = cells - off;
+                assert!(
+                    span <= 2 || above.min(below) <= 1,
+                    "atom homed {} cells outside its box on axis {k}",
+                    above.min(below)
+                );
+                if above < below {
+                    span - 1
+                } else {
+                    0
+                }
+            };
+        }
+        let [lx, ly, _] = self.log2_box;
+        ((((local[2] << ly) | local[1]) << lx) | local[0]) as usize
+    }
+
+    /// The static conservative box-local cell-pair list.
     #[inline]
     pub fn pairs(&self) -> &[(u32, u32)] {
         &self.pairs
@@ -386,26 +451,80 @@ mod tests {
     #[test]
     fn tiling_dims_cover_reach_and_cap() {
         // 22 Å box, 7.7 Å reach: 2 cells per axis (11 Å ≥ 7.7, 5.5 < 7.7).
-        let t = CellTiling::build([22.0; 3], 7.7);
-        assert_eq!(t.cell_count(), 8);
+        let t = CellTiling::build([22.0; 3], 7.7, [1; 3]);
+        assert_eq!(t.cells_per_box(), 8);
         // Every cell pair can interact at this size: C(8,2) + 8 = 36.
         assert_eq!(t.pairs().len(), 36);
         // 36 Å box: 4 cells per axis; cells two apart (gap 9 Å) are pruned.
-        let t = CellTiling::build([36.0; 3], 7.7);
-        assert_eq!(t.cell_count(), 64);
+        let t = CellTiling::build([36.0; 3], 7.7, [1; 3]);
+        assert_eq!(t.cells_per_box(), 64);
         assert!(t.pairs().len() < 64 * 65 / 2, "no pruning happened");
         // Tiny box: one cell, one pair.
-        let t = CellTiling::build([6.0; 3], 7.7);
-        assert_eq!(t.cell_count(), 1);
+        let t = CellTiling::build([6.0; 3], 7.7, [1; 3]);
+        assert_eq!(t.cells_per_box(), 1);
         assert_eq!(t.pairs(), &[(0, 0)]);
         // Huge box: per-axis cap at 16 cells.
-        let t = CellTiling::build([1000.0; 3], 7.7);
-        assert_eq!(t.cell_count(), 16 * 16 * 16);
+        let t = CellTiling::build([1000.0; 3], 7.7, [1; 3]);
+        assert_eq!(t.cells_per_box(), 16 * 16 * 16);
+    }
+
+    #[test]
+    fn boxes_split_into_nested_cells() {
+        // 36 Å box, 7.7 Å reach: 4 cells per axis. On a 2×2×2 node grid
+        // each box spans 2 cells per axis, all adjacent: every local pair.
+        let t = CellTiling::build([36.0; 3], 7.7, [2; 3]);
+        assert_eq!(t.cells_per_box(), 8);
+        assert_eq!(t.pairs().len(), 36);
+        // A box as wide as a cell, or narrower, is one tile.
+        for boxes in [[4; 3], [8, 4, 4]] {
+            let t = CellTiling::build([36.0; 3], 7.7, boxes);
+            assert_eq!(t.cells_per_box(), 1);
+            assert_eq!(t.pairs(), &[(0, 0)]);
+        }
+        // Uneven grids split per axis: 4 cells over 2 × 1 × 4 boxes.
+        let t = CellTiling::build([36.0; 3], 7.7, [2, 1, 4]);
+        assert_eq!(t.cells_per_box(), 2 * 4);
+    }
+
+    #[test]
+    fn cell_in_box_bins_inside_and_clamps_outside() {
+        // 72 Å box, 7.7 Å reach: 8 cells per axis; 2 boxes per axis of 4
+        // cells each. Fraction f ∈ [−1, 1) maps to global cell
+        // ⌊(f + 1)·4⌋.
+        let t = CellTiling::build([72.0; 3], 7.7, [2; 3]);
+        assert_eq!(t.cells_per_box(), 64);
+        let raw = |f: f64| (f * (1u64 << 31) as f64) as i32;
+        let at = |fx: f64| [raw(fx), raw(-1.0), raw(-1.0)];
+        // Box 0 covers global cells 0..4 on x; box 1 covers 4..8.
+        assert_eq!(t.cell_in_box([0, 0, 0], at(-1.0)), 0);
+        assert_eq!(t.cell_in_box([0, 0, 0], at(-0.01)), 3);
+        assert_eq!(t.cell_in_box([1, 0, 0], at(0.0)), 0);
+        assert_eq!(t.cell_in_box([1, 0, 0], at(0.99)), 3);
+        // Just outside box 1, above (global cell 0, across the seam) and
+        // below (global cell 3): clamped to the nearer edge cell.
+        assert_eq!(t.cell_in_box([1, 0, 0], at(-0.99)), 3);
+        assert_eq!(t.cell_in_box([1, 0, 0], at(-0.01)), 0);
+        // One box: the box-local cell is the global cell.
+        let whole = CellTiling::build([72.0; 3], 7.7, [1; 3]);
+        for f in [-1.0, -0.4, 0.3, 0.99] {
+            let p = [raw(f), raw(-f * 0.5), raw(f * 0.25)];
+            assert_eq!(whole.cell_in_box([0; 3], p), whole.cell_of(p));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cells outside its box")]
+    fn cell_in_box_rejects_atoms_far_outside() {
+        let t = CellTiling::build([72.0; 3], 7.7, [2; 3]);
+        let p = [(-0.6 * (1u64 << 31) as f64) as i32, i32::MIN, i32::MIN];
+        // Global cell 1 on x: three cells below box 1's first cell (4) and
+        // two above its last (7, across the seam) — far outside either way.
+        t.cell_in_box([1, 0, 0], p);
     }
 
     #[test]
     fn binning_is_exact_on_fraction_bits() {
-        let t = CellTiling::build([22.0; 3], 7.7);
+        let t = CellTiling::build([22.0; 3], 7.7, [1; 3]);
         // Fraction −1.0 (raw i32::MIN) is the box corner → cell 0; fraction
         // just below 0 is the middle → still the lower cell; fraction 0 is
         // the upper half.
@@ -421,7 +540,7 @@ mod tests {
     fn tiling_pair_list_is_conservative() {
         // Randomized check: any two fraction points within the reach (in a
         // 36 Å box) must land in a listed cell pair.
-        let t = CellTiling::build([36.0; 3], 7.7);
+        let t = CellTiling::build([36.0; 3], 7.7, [1; 3]);
         let listed: std::collections::HashSet<(u32, u32)> = t.pairs().iter().copied().collect();
         let mut s = 0x9e3779b97f4a7c15u64;
         let mut next = move || {

@@ -230,10 +230,7 @@ struct CkptSink {
 fn config_fingerprint(system: &System, decomposition: Decomposition, threads: usize) -> u64 {
     let e = system.pbox.edge();
     let p = &system.params;
-    let nodes = match decomposition {
-        Decomposition::SingleRank => 0u64,
-        Decomposition::Nodes(n) => n as u64,
-    };
+    let Decomposition::Nodes(nodes) = decomposition;
     Fingerprint::new()
         .field("n_atoms", system.n_atoms() as u64)
         .field("edge_x", e.x.to_bits())
@@ -247,7 +244,7 @@ fn config_fingerprint(system: &System, decomposition: Decomposition, threads: us
         .field("dt_fs", p.dt_fs.to_bits())
         .field("longrange_every", p.longrange_every as u64)
         .field("migration_every", p.migration_every as u64)
-        .field("nodes", nodes)
+        .field("nodes", nodes as u64)
         .field("threads", threads.max(1) as u64)
         .finish()
 }
@@ -282,7 +279,7 @@ impl AntonSimulation {
         SimulationBuilder {
             system,
             velocities: None,
-            decomposition: Decomposition::SingleRank,
+            decomposition: Decomposition::Nodes(1),
             threads: threads_from_env(),
             thermostat: ThermostatKind::None,
             constraints_enabled: true,
@@ -965,7 +962,7 @@ mod tests {
             sim.run_cycles(4);
             sim.state
         };
-        let reference = run(Decomposition::SingleRank);
+        let reference = run(Decomposition::Nodes(1));
         for nodes in [2usize, 8, 64] {
             assert_eq!(
                 run(Decomposition::Nodes(nodes)),

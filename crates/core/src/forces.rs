@@ -4,12 +4,13 @@
 //! bonded term, correction pair, and mesh force — is a pure function of
 //! fixed-point positions, quantized to Q24 raw force components *before*
 //! accumulation. Accumulation is two's-complement wrapping addition, which
-//! is associative and commutative, so the decomposition (single rank or any
-//! simulated node grid) can only permute additions and never changes a bit
-//! of the result. This is the software realization of paper §4.
+//! is associative and commutative, so the decomposition (any simulated
+//! node grid, one node included) can only permute additions and never
+//! changes a bit of the result. This is the software realization of paper
+//! §4.
 //!
-//! Under a [`Decomposition::Nodes`] decomposition the pipeline executes as
-//! a set of [`Rank`](crate::ranks::Rank)s: each rank computes its NT pairs,
+//! The pipeline always executes as a set of [`Rank`](crate::ranks::Rank)s
+//! — `Nodes(1)` is the single-rank case: each rank computes its NT pairs,
 //! statically assigned bonded terms, correction pairs, *and its share of
 //! the GSE mesh phase* (charge spreading and force interpolation over its
 //! home box's atoms, around a distributed-FFT trunk) into *private*
@@ -39,11 +40,10 @@ use anton_trace::{Lane, Phase, TraceSink, RANK_MAIN};
 /// How force work is enumerated (never affects results, bitwise).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Decomposition {
-    /// One rank enumerates all pairs via a cell grid.
-    SingleRank,
     /// A simulated Anton machine with this many nodes (power of two):
     /// work is enumerated per node with the NT method, constraint groups
-    /// co-located on their leader's home node.
+    /// co-located on their leader's home node. `Nodes(1)` is the single-rank
+    /// case: one home box holding the whole system.
     Nodes(usize),
 }
 
@@ -166,20 +166,18 @@ pub struct ForcePipeline {
     pub import_margin: f64,
     decomposition: Decomposition,
     pool: DetPool,
-    ranks: Option<RankSet>,
-    /// Modeled torus traffic of every `Nodes(n)` force evaluation.
+    ranks: RankSet,
+    /// Modeled torus traffic of every force evaluation.
     pub counters: ExchangeCounters,
-    /// Static long-range communication plan (mesh halos + FFT pencils);
-    /// `None` under [`Decomposition::SingleRank`].
-    mesh_exchange: Option<MeshExchange>,
+    /// Static long-range communication plan (mesh halos + FFT pencils).
+    mesh_exchange: MeshExchange,
     /// Structured event recorder ([`TraceSink::Off`] unless installed via
     /// [`Self::set_trace`]). Tracing never influences results: timestamps
     /// are observability payload only, and the golden-trajectory tier
     /// asserts bitwise identity with tracing on and off.
     trace: TraceSink,
-    /// Machine model pricing the metered traffic of trace counters
-    /// (`Nodes(n)` only).
-    machine: Option<MachineConfig>,
+    /// Machine model pricing the metered traffic of trace counters.
+    machine: MachineConfig,
     /// Q20 of the *padded* match cutoff `(rc + PAIRLIST_SLACK)²`: the
     /// radius batches are matched at, so the cached pair set stays a
     /// superset of the in-cutoff set while the displacement monitor holds.
@@ -189,18 +187,19 @@ pub struct ForcePipeline {
     /// of the per-axis bound and the single RNE rounding of the exact r².
     r2_lb_max: i64,
     /// Displacement monitor + reference epoch of the persistent match
-    /// stage, shared by both decompositions (the rebuild schedule is a
-    /// pure function of the trajectory, never of the decomposition).
+    /// stage (the rebuild schedule is a pure function of the trajectory,
+    /// never of the decomposition).
     cache: MatchCache,
-    /// Static packed correction stream (precomputed nonzero charge
-    /// products), serial form for the single-rank path.
-    corr_all: Vec<(u32, u32, f64)>,
-    /// Per-rank static packed correction streams (`Nodes(n)` path).
+    /// Per-rank static packed correction streams (precomputed nonzero
+    /// charge products).
     corr_rank: Vec<Vec<(u32, u32, f64)>>,
-    /// Single-rank tile pipeline state (`None` under `Nodes(n)`).
-    single: Option<SingleTiles>,
-    /// Per-box SoA position/charge tiles shared by the rank fan-out
-    /// (`Nodes(n)` path), rebuilt on the trunk once per fan-out.
+    /// Static split of every home box into cells: tile `b · k + c` holds
+    /// the atoms of box `b` in its cell `c` (`k` cells per box).
+    tiling: CellTiling,
+    /// Reusable counting sort of atoms into those tiles.
+    tile_buckets: Buckets,
+    /// SoA position/charge tiles shared by the rank fan-out, rebuilt on
+    /// the trunk on cache-rebuild steps.
     node_tiles: PosTiles,
     /// Per-rank private accumulators (+ trace lanes), reused across steps.
     scratch: Vec<RankScratch>,
@@ -228,18 +227,6 @@ struct RankScratch {
     live_pairs: u64,
 }
 
-/// Single-rank tile pipeline state: the static cell tiling plus the
-/// buckets, SoA tiles and match queue — rebuilt on cache-rebuild steps,
-/// position-refreshed and replayed on reuse steps.
-/// Held in an `Option` so the evaluation can detach it from `self` while
-/// borrowing the pipeline shared.
-struct SingleTiles {
-    tiling: CellTiling,
-    buckets: Buckets,
-    tiles: PosTiles,
-    queue: BatchQueue,
-}
-
 /// One rank's private long-range state: a force accumulator, its share of
 /// the spread charge mesh, a window-stencil scratch, and its trace lane.
 struct LrRank {
@@ -264,31 +251,25 @@ const IMPORT_MARGIN: f64 = 8.0;
 
 impl ForcePipeline {
     /// Build the pipeline. The decomposition and worker-thread count are
-    /// construction-time properties: `Nodes(n)` builds the full rank
-    /// architecture (grid, NT assignment, exchange plan, static bonded and
-    /// correction work lists) once, here.
+    /// construction-time properties: the full rank architecture (grid, NT
+    /// assignment, exchange plan, cell tiling, static bonded and correction
+    /// work lists) is built once, here.
     pub fn new(sys: &System, decomposition: Decomposition, threads: usize) -> ForcePipeline {
+        let Decomposition::Nodes(nodes) = decomposition;
         let beta = sys.params.ewald_beta();
         let e = sys.pbox.edge();
         let gse_params = GseParams::auto(sys.params.cutoff, sys.params.spread_cutoff);
-        let ranks = match decomposition {
-            Decomposition::SingleRank => None,
-            Decomposition::Nodes(n) => {
-                Some(RankSet::build(sys, n, sys.params.cutoff + IMPORT_MARGIN))
-            }
-        };
+        let ranks = RankSet::build(sys, nodes, sys.params.cutoff + IMPORT_MARGIN);
+        let grid_dims = [
+            ranks.grid.dims.x as usize,
+            ranks.grid.dims.y as usize,
+            ranks.grid.dims.z as usize,
+        ];
         // The FFT is planned over the simulated node grid (clamped per axis
         // so every node dimension divides the mesh), so the reciprocal
         // phase's pencil-message pattern matches the decomposition.
-        let fft_nodes = ranks.as_ref().map_or([1, 1, 1], |rs| {
-            [
-                rs.grid.dims.x as usize,
-                rs.grid.dims.y as usize,
-                rs.grid.dims.z as usize,
-            ]
-        });
-        let gse = GseFixed::with_nodes(Mesh::new(sys.params.mesh, sys.pbox), gse_params, fft_nodes);
-        let mesh_exchange = ranks.as_ref().map(|_| {
+        let gse = GseFixed::with_nodes(Mesh::new(sys.params.mesh, sys.pbox), gse_params, grid_dims);
+        let mesh_exchange = {
             let h = gse.mesh.spacing();
             let halo = [
                 (gse.params.spread_cutoff / h.x).ceil() as usize,
@@ -303,7 +284,7 @@ impl ForcePipeline {
                 st.messages_total(),
                 st.bytes_total(),
             )
-        });
+        };
         let rc2_q20 = Q20::from_f64(sys.params.cutoff * sys.params.cutoff).raw();
         let rc_pad = sys.params.cutoff + PAIRLIST_SLACK;
         let rc_pad2_q20 = Q20::from_f64(rc_pad * rc_pad).raw();
@@ -334,47 +315,25 @@ impl ForcePipeline {
         let s14 = 1.0 - policy.elec_14;
         let excl = sys.topology.exclusions.excluded_pairs();
         let p14 = sys.topology.exclusions.pairs_14();
-        let (corr_all, corr_rank) = match &ranks {
-            None => (
+        let corr_rank = ranks
+            .ranks
+            .iter()
+            .map(|rank| {
                 pack(
-                    &mut excl
+                    &mut rank
+                        .excl
                         .iter()
-                        .map(|&(i, j)| (i, j, 1.0))
-                        .chain(p14.iter().map(|&(i, j)| (i, j, s14))),
-                ),
-                Vec::new(),
-            ),
-            Some(rs) => (
-                Vec::new(),
-                rs.ranks
-                    .iter()
-                    .map(|rank| {
-                        pack(
-                            &mut rank
-                                .excl
-                                .iter()
-                                .map(|&k| {
-                                    let (i, j) = excl[k as usize];
-                                    (i, j, 1.0)
-                                })
-                                .chain(rank.pair14.iter().map(|&k| {
-                                    let (i, j) = p14[k as usize];
-                                    (i, j, s14)
-                                })),
-                        )
-                    })
-                    .collect(),
-            ),
-        };
-        let single = match decomposition {
-            Decomposition::SingleRank => Some(SingleTiles {
-                tiling: CellTiling::build([e.x, e.y, e.z], sys.params.cutoff + PAIRLIST_SLACK),
-                buckets: Buckets::default(),
-                tiles: PosTiles::default(),
-                queue: BatchQueue::default(),
-            }),
-            Decomposition::Nodes(_) => None,
-        };
+                        .map(|&k| {
+                            let (i, j) = excl[k as usize];
+                            (i, j, 1.0)
+                        })
+                        .chain(rank.pair14.iter().map(|&k| {
+                            let (i, j) = p14[k as usize];
+                            (i, j, s14)
+                        })),
+                )
+            })
+            .collect();
         ForcePipeline {
             ppip: Ppip::build(beta, sys.params.cutoff),
             gse,
@@ -390,16 +349,17 @@ impl ForcePipeline {
             counters: ExchangeCounters::default(),
             mesh_exchange,
             trace: TraceSink::Off,
-            machine: match decomposition {
-                Decomposition::SingleRank => None,
-                Decomposition::Nodes(n) => Some(MachineConfig::with_nodes(n)),
-            },
+            machine: MachineConfig::with_nodes(nodes),
             rc_pad2_q20,
             r2_lb_max: (rc_pad2_q20 << 20) + (1 << 27),
             cache: MatchCache::new(half_edge_q20, PAIRLIST_SLACK),
-            corr_all,
             corr_rank,
-            single,
+            tiling: CellTiling::build(
+                [e.x, e.y, e.z],
+                sys.params.cutoff + PAIRLIST_SLACK,
+                grid_dims,
+            ),
+            tile_buckets: Buckets::default(),
             node_tiles: PosTiles::default(),
             scratch: Vec::new(),
             lr_scratch: Vec::new(),
@@ -416,18 +376,17 @@ impl ForcePipeline {
         self.pool.threads()
     }
 
-    /// The rank architecture (`None` under [`Decomposition::SingleRank`]).
-    pub fn rank_set(&self) -> Option<&RankSet> {
-        self.ranks.as_ref()
+    /// The rank architecture.
+    pub fn rank_set(&self) -> &RankSet {
+        &self.ranks
     }
 
     /// Total charge on the reciprocal scratch mesh after the most recent
-    /// long-range evaluation: the exact sum of the merged `rho_q` words
-    /// (Q `MESH_FRAC`). Under `Nodes(n)` this is the rank-merged mesh; under
-    /// `SingleRank` the serially spread one. Charge conservation through
-    /// the spread is closed-form: an independent serial re-spread of the
-    /// same positions must reproduce this total bit-for-bit (the
-    /// `anton-analysis` mesh-charge identity).
+    /// long-range evaluation: the exact sum of the rank-merged `rho_q`
+    /// words (Q `MESH_FRAC`). Charge conservation through the spread is
+    /// closed-form: an independent serial re-spread of the same positions
+    /// must reproduce this total bit-for-bit (the `anton-analysis`
+    /// mesh-charge identity).
     pub fn mesh_charge_total(&self) -> i128 {
         let mut total: i128 = 0;
         for &q in &self.gse_scratch.rho_q {
@@ -438,10 +397,10 @@ impl ForcePipeline {
 
     /// Exact per-`lr_step` increments of the long-range exchange counters:
     /// `[mesh_halo_messages, mesh_halo_bytes, fft_messages, fft_bytes]`
-    /// added per long-range step (`None` under `SingleRank`, where no mesh
-    /// exchange is metered). See [`anton_machine::MeshExchange::per_lr_step`].
-    pub fn mesh_lr_step_rates(&self) -> Option<[u64; 4]> {
-        self.mesh_exchange.as_ref().map(MeshExchange::per_lr_step)
+    /// added per long-range step. See
+    /// [`anton_machine::MeshExchange::per_lr_step`].
+    pub fn mesh_lr_step_rates(&self) -> [u64; 4] {
+        self.mesh_exchange.per_lr_step()
     }
 
     /// The trace sink recording this pipeline's phase spans and counters.
@@ -468,15 +427,13 @@ impl ForcePipeline {
             return;
         }
         let d = self.counters.delta_since(&before);
-        let n_ranks = self.ranks.as_ref().map_or(1, RankSet::rank_count).max(1);
+        let n_ranks = self.ranks.rank_count();
         let cfg = self.machine;
         let emit = |trace: &mut TraceSink, name, phase, msgs: u64, bytes: u64, hop_bytes: u64| {
             if msgs == 0 && bytes == 0 {
                 return;
             }
-            let modeled = cfg.map_or(0.0, |c| {
-                modeled_burst_us(&c, n_ranks, msgs, bytes, hop_bytes)
-            });
+            let modeled = modeled_burst_us(&cfg, n_ranks, msgs, bytes, hop_bytes);
             trace.counter(name, phase, msgs, bytes, modeled);
         };
         emit(
@@ -782,123 +739,20 @@ impl ForcePipeline {
         live_pairs
     }
 
-    /// Rebuild the single-rank cache structure at the given positions:
-    /// re-bin atoms into the static cell tiling, refill the SoA tiles, and
-    /// stream the conservative cell-pair list through the padded-cutoff
-    /// match stage into the persistent queue. Pure structure work — no
-    /// spans, counters or monitor bookkeeping — shared by the production
-    /// rebuild arm and checkpoint restore (which rebuilds at the cached
-    /// *reference* epoch rather than the restored step's positions).
-    fn rebuild_single_cache(&self, sys: &System, positions: &[FxVec3], st: &mut SingleTiles) {
-        let n_cells = st.tiling.cell_count();
-        {
-            let SingleTiles {
-                tiling, buckets, ..
-            } = st;
-            buckets.rebuild(n_cells, positions.len(), |i| {
-                let p = &positions[i].0;
-                tiling.cell_of([p[0].raw(), p[1].raw(), p[2].raw()])
-            });
-        }
-        {
-            let charge = &sys.topology.charge;
-            let buckets = &st.buckets;
-            st.tiles
-                .rebuild((0..n_cells).map(|c| buckets.members(c)), |a| {
-                    let p = &positions[a as usize].0;
-                    ([p[0].raw(), p[1].raw(), p[2].raw()], charge[a as usize])
-                });
-        }
-        st.queue.begin();
-        for &(ca, cb) in st.tiling.pairs() {
-            self.match_tile_pair(
-                sys,
-                st.tiles.tile(ca as usize),
-                st.tiles.tile(cb as usize),
-                ca == cb,
-                st.tiles.tile_start(ca as usize) as u32,
-                st.tiles.tile_start(cb as usize) as u32,
-                &mut st.queue,
-            );
-        }
-    }
-
-    /// Single-rank range-limited phase on the persistent tile pipeline.
-    ///
-    /// When the displacement monitor trips ([`MatchCache::needs_rebuild`]):
-    /// re-bin atoms into the static cell tiling from their raw fraction
-    /// bits, rebuild the SoA tiles, and stream the conservative cell-pair
-    /// list through the padded-cutoff match stage (the CacheRebuild span,
-    /// with the Match sub-span inside it). Otherwise: refresh the tile
-    /// positions in place and keep the cached batch structure (the
-    /// CacheReuse span). Either way the queued batches are then replayed
-    /// against the current positions by [`Self::evaluate_batches`], whose
-    /// exact per-step cutoff mask makes the forces independent of which
-    /// arm ran. Allocation-free in steady state.
-    fn range_limited_tiles(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
-        let mut st = self.single.take().expect("single-rank tile state");
-        if self.cache.needs_rebuild(&state.positions) {
-            let t_cache = self.trace.now_ns();
-            let t0 = self.trace.now_ns();
-            self.rebuild_single_cache(sys, &state.positions, &mut st);
-            self.trace.end_span(Phase::Match, RANK_MAIN, t0);
-            self.cache.note_rebuild(&state.positions);
-            self.counters.match_candidates += st.queue.census.candidates;
-            self.counters.rebuild_steps += 1;
-            self.trace.end_span(Phase::CacheRebuild, RANK_MAIN, t_cache);
-        } else {
-            let t_cache = self.trace.now_ns();
-            let positions = &state.positions;
-            st.tiles.refresh_positions(|a| {
-                let p = &positions[a as usize].0;
-                [p[0].raw(), p[1].raw(), p[2].raw()]
-            });
-            self.counters.reuse_steps += 1;
-            self.trace.end_span(Phase::CacheReuse, RANK_MAIN, t_cache);
-        }
-        let t0 = self.trace.now_ns();
-        let live = self.evaluate_batches(&st.queue, &st.tiles, out);
-        self.trace.end_span(Phase::Evaluate, RANK_MAIN, t0);
-        // Live pairs (and batch count) are metered per *evaluation*, so the
-        // census totals are a pure function of the trajectory — identical
-        // across decompositions, thread counts and rebuild schedules.
-        self.counters.match_pairs += live;
-        self.counters.match_batches += st.queue.batch_count() as u64;
-        self.single = Some(st);
-    }
-
-    /// Range-limited forces under the pipeline's decomposition.
+    /// Range-limited forces, per rank over the pool.
     pub fn range_limited(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
-        match self.decomposition {
-            Decomposition::SingleRank => {
-                let t0 = self.trace.now_ns();
-                self.range_limited_tiles(sys, state, out);
-                self.trace.end_span(Phase::RangeLimited, RANK_MAIN, t0);
-            }
-            Decomposition::Nodes(_) => self.rank_fanout(sys, state, out, false),
-        }
+        self.rank_fanout(sys, state, out, false);
     }
 
     /// The short-range force class of a RESPA inner step: range-limited
-    /// pairs plus bonded terms. Under `Nodes(n)` both are computed per rank
-    /// in one fan-out.
+    /// pairs plus bonded terms, both computed per rank in one fan-out.
     pub fn short_range(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
-        match self.decomposition {
-            Decomposition::SingleRank => {
-                let t0 = self.trace.now_ns();
-                self.range_limited_tiles(sys, state, out);
-                self.trace.end_span(Phase::RangeLimited, RANK_MAIN, t0);
-                let t0 = self.trace.now_ns();
-                self.bonded(sys, state, out);
-                self.trace.end_span(Phase::Bonded, RANK_MAIN, t0);
-            }
-            Decomposition::Nodes(_) => self.rank_fanout(sys, state, out, true),
-        }
+        self.rank_fanout(sys, state, out, true);
     }
 
     /// The long-range force class of a RESPA outer step: reciprocal (GSE)
-    /// plus correction pairs. Under `Nodes(n)` the whole reciprocal phase
-    /// is sharded over the rank set (§3.2.2): each rank spreads its home
+    /// plus correction pairs. The whole reciprocal phase is sharded over
+    /// the rank set (§3.2.2): each rank spreads its home
     /// box's atoms into a *private* charge mesh; the meshes merge in fixed
     /// rank order with wrapping adds; the distributed fixed-point FFT trunk
     /// (forward → Green multiply → inverse) runs on the calling thread
@@ -911,15 +765,6 @@ impl ForcePipeline {
     /// thread count. The mesh-halo and FFT pencil traffic is metered into
     /// [`ExchangeCounters`] per long-range step.
     pub fn long_range(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
-        if self.ranks.is_none() {
-            let t0 = self.trace.now_ns();
-            self.reciprocal(sys, state, out);
-            self.trace.end_span(Phase::Reciprocal, RANK_MAIN, t0);
-            let t0 = self.trace.now_ns();
-            self.corrections(state, out);
-            self.trace.end_span(Phase::Correction, RANK_MAIN, t0);
-            return;
-        }
         let n = sys.n_atoms();
         state.decode_positions_into(&sys.pbox, &mut self.pos_buf);
         // Long-range steps normally follow a short-range evaluation that
@@ -927,21 +772,16 @@ impl ForcePipeline {
         // exchange step when called standalone.
         let before = self.counters;
         let t0 = self.trace.now_ns();
-        let freshly_prepared = {
-            let rs = self.ranks.as_mut().expect("rank set checked above");
-            if rs.is_prepared(n) {
-                false
-            } else {
-                rs.prepare(state, &mut self.counters);
-                true
-            }
-        };
+        let freshly_prepared = !self.ranks.is_prepared(n);
+        if freshly_prepared {
+            self.ranks.prepare(state, &mut self.counters);
+        }
         if freshly_prepared {
             self.trace.end_span(Phase::ReHome, RANK_MAIN, t0);
             self.meter_since(before);
         }
         let n_mesh = self.gse.mesh.len();
-        let n_ranks = self.ranks.as_ref().map_or(0, RankSet::rank_count);
+        let n_ranks = self.ranks.rank_count();
         // Umbrella span over the whole distributed reciprocal evaluation;
         // the Spread/MeshMerge/Fft*/Interpolate sub-phases nest inside it.
         let t_recip = self.trace.now_ns();
@@ -968,7 +808,7 @@ impl ForcePipeline {
         let mut dispatch_marks = [(0u64, 0u64); 3];
         {
             let this = &*self;
-            let rs = this.ranks.as_ref().expect("rank set checked above");
+            let rs = &this.ranks;
             let charges = &sys.topology.charge;
             let view = |r: usize| MeshAtoms {
                 positions: &this.pos_buf,
@@ -1055,9 +895,7 @@ impl ForcePipeline {
         }
         self.trace.end_span(Phase::Reciprocal, RANK_MAIN, t_recip);
         let before = self.counters;
-        if let Some(me) = &self.mesh_exchange {
-            me.record_lr_step(&mut self.counters);
-        }
+        self.mesh_exchange.record_lr_step(&mut self.counters);
         self.meter_since(before);
     }
 
@@ -1078,7 +916,7 @@ impl ForcePipeline {
     /// (Taken out of `self` so the fan-out can borrow `self` shared while
     /// the pool mutates the buffers.)
     fn take_scratch(&mut self, n_atoms: usize) -> Vec<RankScratch> {
-        let n_ranks = self.ranks.as_ref().map_or(0, RankSet::rank_count);
+        let n_ranks = self.ranks.rank_count();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.resize_with(n_ranks, || RankScratch {
             forces: RawForces::zeroed(n_atoms),
@@ -1113,49 +951,33 @@ impl ForcePipeline {
         let rebuild = self.cache.needs_rebuild(&state.positions);
         let before = self.counters;
         let t0 = self.trace.now_ns();
-        {
-            let rs = self
-                .ranks
-                .as_mut()
-                .expect("rank fan-out without a rank set");
-            if rebuild {
-                rs.prepare(state, &mut self.counters);
-            } else {
-                // Deferred migration (§3.2.4): between pair-list rebuilds
-                // atoms keep their home boxes — the frozen assignment is
-                // covered by the NT import margin — and only the static
-                // exchange plan's per-step traffic is metered.
-                rs.meter_step(&mut self.counters);
-            }
+        if rebuild {
+            self.ranks.prepare(state, &mut self.counters);
+        } else {
+            // Deferred migration (§3.2.4): between pair-list rebuilds atoms
+            // keep their home boxes — the frozen assignment is covered by
+            // the NT import margin — and only the static exchange plan's
+            // per-step traffic is metered.
+            self.ranks.meter_step(&mut self.counters);
         }
         self.trace.end_span(Phase::ReHome, RANK_MAIN, t0);
         self.meter_since(before);
         if with_bonded {
             state.decode_positions_into(&sys.pbox, &mut self.pos_buf);
         }
-        // Rebuild the shared per-box SoA tiles once, on the trunk (cache
+        // Rebuild the shared per-cell SoA tiles once, on the trunk (cache
         // rebuild), or refresh their positions in place under the frozen
         // membership (cache reuse); every rank streams its tower × plate
         // tile pairs out of this pool.
         let t_cache = self.trace.now_ns();
-        {
-            let ForcePipeline {
-                node_tiles, ranks, ..
-            } = self;
-            let rs = ranks.as_ref().expect("rank set checked above");
+        if rebuild {
+            self.rebuild_node_tiles(sys, &state.positions);
+        } else {
             let positions = &state.positions;
-            let charge = &sys.topology.charge;
-            if rebuild {
-                node_tiles.rebuild((0..rs.grid.node_count()).map(|b| rs.atoms_in_box(b)), |a| {
-                    let p = &positions[a as usize].0;
-                    ([p[0].raw(), p[1].raw(), p[2].raw()], charge[a as usize])
-                });
-            } else {
-                node_tiles.refresh_positions(|a| {
-                    let p = &positions[a as usize].0;
-                    [p[0].raw(), p[1].raw(), p[2].raw()]
-                });
-            }
+            self.node_tiles.refresh_positions(|a| {
+                let p = &positions[a as usize].0;
+                [p[0].raw(), p[1].raw(), p[2].raw()]
+            });
         }
         if rebuild {
             self.cache.note_rebuild(&state.positions);
@@ -1178,16 +1000,15 @@ impl ForcePipeline {
         let t_dispatch = self.trace.now_ns();
         {
             let this = &*self;
-            let rs = this.ranks.as_ref().expect("rank set checked above");
             this.pool.run(&mut scratch, |r, buf| {
                 let t = this.trace.now_ns();
-                this.rank_pairs_batched(sys, rs, r, buf, rebuild);
+                this.rank_pairs_batched(sys, r, buf, rebuild);
                 if this.trace.is_on() {
                     buf.lane.push(Phase::RangeLimited, t, this.trace.now_ns());
                 }
                 if with_bonded {
                     let t = this.trace.now_ns();
-                    this.rank_bonded(sys, rs, r, &mut buf.forces);
+                    this.rank_bonded(sys, r, &mut buf.forces);
                     if this.trace.is_on() {
                         buf.lane.push(Phase::Bonded, t, this.trace.now_ns());
                     }
@@ -1216,20 +1037,13 @@ impl ForcePipeline {
     /// *box* pair — every atom in a box shares that box's (canonical) home
     /// coordinate, so `node_for_pair(coord(a), coord(b))` decides for all
     /// its pairs at once. The evaluator's exact per-step cutoff mask makes
-    /// the interaction set identical to the single-rank path (and to a
-    /// fresh rebuild); wrapping accumulation makes the *forces* identical
+    /// the interaction set identical on every node count (and to a fresh
+    /// rebuild); wrapping accumulation makes the *forces* identical
     /// bitwise.
-    fn rank_pairs_batched(
-        &self,
-        sys: &System,
-        rs: &RankSet,
-        r: usize,
-        buf: &mut RankScratch,
-        rebuild: bool,
-    ) {
+    fn rank_pairs_batched(&self, sys: &System, r: usize, buf: &mut RankScratch, rebuild: bool) {
         if rebuild {
             let t0 = self.trace.now_ns();
-            self.fill_rank_queue(sys, rs, r, &mut buf.queue);
+            self.fill_rank_queue(sys, r, &mut buf.queue);
             if self.trace.is_on() {
                 buf.lane.push(Phase::Match, t0, self.trace.now_ns());
             }
@@ -1275,81 +1089,98 @@ impl ForcePipeline {
             sys.n_atoms(),
             "match-cache epoch has wrong atom count"
         );
-        match self.decomposition {
-            Decomposition::SingleRank => {
-                let mut st = self.single.take().expect("single-rank tile state");
-                self.rebuild_single_cache(sys, positions, &mut st);
-                self.single = Some(st);
-            }
-            Decomposition::Nodes(_) => {
-                let ref_state = FixedState {
-                    positions: positions.to_vec(),
-                    velocities: Vec::new(),
-                };
-                // Restore-time metering is discarded: the caller overwrites
-                // the counters from the snapshot afterwards.
-                let mut sink = ExchangeCounters::default();
-                {
-                    let rs = self.ranks.as_mut().expect("rank set under Nodes");
-                    rs.prepare(&ref_state, &mut sink);
-                }
-                {
-                    let ForcePipeline {
-                        node_tiles, ranks, ..
-                    } = self;
-                    let rs = ranks.as_ref().expect("rank set under Nodes");
-                    let charge = &sys.topology.charge;
-                    node_tiles.rebuild(
-                        (0..rs.grid.node_count()).map(|b| rs.atoms_in_box(b)),
-                        |a| {
-                            let p = &ref_state.positions[a as usize].0;
-                            ([p[0].raw(), p[1].raw(), p[2].raw()], charge[a as usize])
-                        },
-                    );
-                }
-                let mut scratch = self.take_scratch(sys.n_atoms());
-                {
-                    let this = &*self;
-                    let rs = this.ranks.as_ref().expect("rank set under Nodes");
-                    for (r, buf) in scratch.iter_mut().enumerate() {
-                        this.fill_rank_queue(sys, rs, r, &mut buf.queue);
-                    }
-                }
-                self.scratch = scratch;
-            }
+        let ref_state = FixedState {
+            positions: positions.to_vec(),
+            velocities: Vec::new(),
+        };
+        // Restore-time metering is discarded: the caller overwrites the
+        // counters from the snapshot afterwards.
+        self.ranks
+            .prepare(&ref_state, &mut ExchangeCounters::default());
+        self.rebuild_node_tiles(sys, positions);
+        let mut scratch = self.take_scratch(sys.n_atoms());
+        for (r, buf) in scratch.iter_mut().enumerate() {
+            self.fill_rank_queue(sys, r, &mut buf.queue);
         }
+        self.scratch = scratch;
         self.cache.note_rebuild(positions);
+    }
+
+    /// Re-bin every atom into its home box's cell tile (tile
+    /// `box · cells_per_box + cell`, atoms in index order) and refill the
+    /// shared SoA tiles at `positions`. Valid after [`RankSet::prepare`]
+    /// at the same positions.
+    fn rebuild_node_tiles(&mut self, sys: &System, positions: &[FxVec3]) {
+        let ForcePipeline {
+            ranks: rs,
+            tiling,
+            tile_buckets,
+            node_tiles,
+            ..
+        } = self;
+        let k = tiling.cells_per_box();
+        let raw = |a: usize| {
+            let p = &positions[a].0;
+            [p[0].raw(), p[1].raw(), p[2].raw()]
+        };
+        tile_buckets.rebuild(rs.grid.node_count() * k, positions.len(), |a| {
+            let h = rs.home(a);
+            rs.grid.index(h) * k + tiling.cell_in_box([h.x as u32, h.y as u32, h.z as u32], raw(a))
+        });
+        let charge = &sys.topology.charge;
+        node_tiles.rebuild(
+            (0..tile_buckets.bucket_count()).map(|t| tile_buckets.members(t)),
+            |a| (raw(a as usize), charge[a as usize]),
+        );
     }
 
     /// Refill one rank's persistent match queue from the shared node tiles
     /// (the rebuild arm of [`Self::rank_pairs_batched`], span-free so
     /// checkpoint restore can replay the fill deterministically on the
-    /// trunk).
-    fn fill_rank_queue(&self, sys: &System, rs: &RankSet, r: usize, queue: &mut BatchQueue) {
+    /// trunk). A box paired with another box streams every cell of one
+    /// against every cell of the other; a box paired with itself streams
+    /// only the cell pairs of the tiling's conservative list, so at
+    /// `Nodes(1)` the candidates are exactly the cell grid's.
+    fn fill_rank_queue(&self, sys: &System, r: usize, queue: &mut BatchQueue) {
+        let rs = &self.ranks;
         let rank = &rs.ranks[r];
+        let tiles = &self.node_tiles;
+        let k = self.tiling.cells_per_box();
+        let stream = |ta: usize, tb: usize, queue: &mut BatchQueue| {
+            self.match_tile_pair(
+                sys,
+                tiles.tile(ta),
+                tiles.tile(tb),
+                ta == tb,
+                tiles.tile_start(ta) as u32,
+                tiles.tile_start(tb) as u32,
+                queue,
+            );
+        };
         queue.begin();
         for tb in &rank.tower {
-            let ca = rs.grid.index(*tb);
-            let ta = self.node_tiles.tile(ca);
-            if ta.is_empty() {
+            let ba = rs.grid.index(*tb);
+            // An empty box has no pairs at all (tiles are contiguous).
+            if tiles.tile_start(ba * k) == tiles.tile_start((ba + 1) * k) {
                 continue;
             }
-            let sa0 = self.node_tiles.tile_start(ca) as u32;
-            let ha = rs.grid.coord(ca);
+            let ha = rs.grid.coord(ba);
             for pb in &rank.plate {
-                let cb = rs.grid.index(*pb);
-                if rs.nt.node_for_pair(ha, rs.grid.coord(cb)) != rank.node {
+                let bb = rs.grid.index(*pb);
+                if rs.nt.node_for_pair(ha, rs.grid.coord(bb)) != rank.node {
                     continue;
                 }
-                self.match_tile_pair(
-                    sys,
-                    ta,
-                    self.node_tiles.tile(cb),
-                    ca == cb,
-                    sa0,
-                    self.node_tiles.tile_start(cb) as u32,
-                    queue,
-                );
+                if ba == bb {
+                    for &(ca, cb) in self.tiling.pairs() {
+                        stream(ba * k + ca as usize, ba * k + cb as usize, queue);
+                    }
+                } else {
+                    for ta in ba * k..(ba + 1) * k {
+                        for tb in bb * k..(bb + 1) * k {
+                            stream(ta, tb, queue);
+                        }
+                    }
+                }
             }
         }
     }
@@ -1359,14 +1190,8 @@ impl ForcePipeline {
     /// exactly-once assignment per atom pair. Retained as the reference
     /// oracle for [`Self::rank_pairs_batched`].
     #[cfg(test)]
-    fn rank_pairs(
-        &self,
-        sys: &System,
-        state: &FixedState,
-        rs: &RankSet,
-        r: usize,
-        out: &mut RawForces,
-    ) {
+    fn rank_pairs(&self, sys: &System, state: &FixedState, r: usize, out: &mut RawForces) {
+        let rs = &self.ranks;
         let rank = &rs.ranks[r];
         for tb in &rank.tower {
             for pb in &rank.plate {
@@ -1392,8 +1217,8 @@ impl ForcePipeline {
 
     /// This rank's statically assigned bonded terms (work lists fixed at
     /// construction, §3.2.3), from the shared decoded-position buffer.
-    fn rank_bonded(&self, sys: &System, rs: &RankSet, r: usize, out: &mut RawForces) {
-        let rank = &rs.ranks[r];
+    fn rank_bonded(&self, sys: &System, r: usize, out: &mut RawForces) {
+        let rank = &self.ranks.ranks[r];
         let pos = &self.pos_buf;
         for &t in &rank.bonds {
             self.bond_term_into(sys, pos, t as usize, out);
@@ -1599,32 +1424,13 @@ impl ForcePipeline {
         }
     }
 
-    /// Correction forces (excluded and 1-4 pairs), streamed through the
-    /// batched correction kernel on the calling thread.
+    /// Correction forces (excluded and 1-4 pairs), every rank's static
+    /// stream in rank order through the batched correction kernel on the
+    /// calling thread.
     pub fn corrections(&self, state: &FixedState, out: &mut RawForces) {
-        self.correction_stream_into(state, &self.corr_all, out);
-    }
-
-    /// Long-range (mesh) forces via the fixed-point GSE pipeline, evaluated
-    /// monolithically (all atoms on the calling thread). Allocation-free in
-    /// steady state: positions decode into and mesh buffers live in the
-    /// pipeline's reusable scratch.
-    pub fn reciprocal(&mut self, sys: &System, state: &FixedState, out: &mut RawForces) {
-        state.decode_positions_into(&sys.pbox, &mut self.pos_buf);
-        let ForcePipeline {
-            gse,
-            gse_scratch,
-            pos_buf,
-            ..
-        } = self;
-        let e = gse.compute_fixed(
-            pos_buf,
-            &sys.topology.charge,
-            FORCE_FRAC,
-            &mut out.f,
-            gse_scratch,
-        );
-        out.e_reciprocal = out.e_reciprocal.wrapping_add(e);
+        for pairs in &self.corr_rank {
+            self.correction_stream_into(state, pairs, out);
+        }
     }
 }
 
@@ -1654,14 +1460,14 @@ mod tests {
 
     /// The paper's parallel-invariance claim, at force granularity: the NT
     /// decomposition on several node counts produces bitwise identical raw
-    /// forces to the single-rank cell-grid enumeration.
+    /// forces to the one-node run and to the scalar cell-grid enumeration.
     #[test]
     fn forces_are_bitwise_invariant_across_decompositions() {
         let sys = water_system(140, 3);
         let state = state_of(&sys);
 
         let mut reference = RawForces::zeroed(sys.n_atoms());
-        ForcePipeline::new(&sys, Decomposition::SingleRank, 1).range_limited(
+        ForcePipeline::new(&sys, Decomposition::Nodes(1), 1).range_limited(
             &sys,
             &state,
             &mut reference,
@@ -1670,14 +1476,14 @@ mod tests {
         // The batched tile pipeline reproduces the scalar cell-grid
         // oracle bitwise.
         let mut oracle = RawForces::zeroed(sys.n_atoms());
-        ForcePipeline::new(&sys, Decomposition::SingleRank, 1).range_limited_cellgrid(
+        ForcePipeline::new(&sys, Decomposition::Nodes(1), 1).range_limited_cellgrid(
             &sys,
             &state,
             &mut oracle,
         );
         assert_eq!(reference, oracle, "batched pipeline diverged from oracle");
 
-        for nodes in [1usize, 2, 8, 64] {
+        for nodes in [2usize, 8, 64] {
             let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(nodes), 1);
             let mut out = RawForces::zeroed(sys.n_atoms());
             pipe.range_limited(&sys, &state, &mut out);
@@ -1707,26 +1513,38 @@ mod tests {
     }
 
     /// The fused per-rank short-range/long-range paths agree bitwise with
-    /// the serial reference composition of the same force classes.
+    /// the serial composition of the same force classes: the scalar
+    /// cell-grid pair oracle, serial bonded terms and corrections, and the
+    /// monolithic fixed-point GSE (`GseFixed::compute_fixed`).
     #[test]
     fn rank_execution_matches_serial_composition() {
         let sys = water_system(120, 11);
         let state = state_of(&sys);
 
         let mut serial = RawForces::zeroed(sys.n_atoms());
-        let mut reference = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
-        reference.short_range(&sys, &state, &mut serial);
+        let reference = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
+        reference.range_limited_cellgrid(&sys, &state, &mut serial);
+        reference.bonded(&sys, &state, &mut serial);
         reference.corrections(&state, &mut serial);
-        reference.reciprocal(&sys, &state, &mut serial);
+        let e = reference.gse.compute_fixed(
+            &state.decode_positions(&sys.pbox),
+            &sys.topology.charge,
+            FORCE_FRAC,
+            &mut serial.f,
+            &mut GseScratch::default(),
+        );
+        serial.e_reciprocal = serial.e_reciprocal.wrapping_add(e);
 
-        let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(8), 2);
-        let mut ranked = RawForces::zeroed(sys.n_atoms());
-        pipe.short_range(&sys, &state, &mut ranked);
-        pipe.long_range(&sys, &state, &mut ranked);
-        assert_eq!(ranked, serial);
-        // The fan-out metered its exchange traffic.
-        assert_eq!(pipe.counters.steps, 1);
-        assert!(pipe.counters.import_bytes > 0);
+        for nodes in [1usize, 8, 64] {
+            let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(nodes), 2);
+            let mut ranked = RawForces::zeroed(sys.n_atoms());
+            pipe.short_range(&sys, &state, &mut ranked);
+            pipe.long_range(&sys, &state, &mut ranked);
+            assert_eq!(ranked, serial, "{nodes} nodes diverged from serial");
+            assert_eq!(pipe.counters.steps, 1);
+            // Only a multi-node fan-out has exchange traffic to meter.
+            assert_eq!(pipe.counters.import_bytes > 0, nodes > 1);
+        }
     }
 
     /// Multi-node long-range steps meter the FFT pencil and mesh-halo
@@ -1759,14 +1577,12 @@ mod tests {
     fn forces_are_deterministic() {
         let sys = water_system(100, 5);
         let state = state_of(&sys);
-        let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
         let mut a = RawForces::zeroed(sys.n_atoms());
         let mut b = RawForces::zeroed(sys.n_atoms());
         for out in [&mut a, &mut b] {
-            pipe.range_limited(&sys, &state, out);
-            pipe.bonded(&sys, &state, out);
-            pipe.corrections(&state, out);
-            pipe.reciprocal(&sys, &state, out);
+            pipe.short_range(&sys, &state, out);
+            pipe.long_range(&sys, &state, out);
         }
         assert_eq!(a, b);
     }
@@ -1777,7 +1593,7 @@ mod tests {
         // raw force sum is exactly zero.
         let sys = water_system(120, 7);
         let state = state_of(&sys);
-        let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
         let mut out = RawForces::zeroed(sys.n_atoms());
         pipe.range_limited(&sys, &state, &mut out);
         pipe.corrections(&state, &mut out);
@@ -1797,7 +1613,7 @@ mod tests {
     fn numerical_force_error_in_paper_decade() {
         let sys = water_system(150, 9);
         let state = state_of(&sys);
-        let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
         let mut out = RawForces::zeroed(sys.n_atoms());
         pipe.range_limited(&sys, &state, &mut out);
 
@@ -1852,7 +1668,7 @@ mod tests {
     fn pairlist_slack_covers_decode_error() {
         let sys = water_system(150, 21);
         let state = state_of(&sys);
-        let pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
         let pos = state.decode_positions(&sys.pbox);
         let ds = 1.0 / (1i64 << 20) as f64;
         let mut worst: f64 = 0.0;
@@ -1875,13 +1691,13 @@ mod tests {
     }
 
     /// The batched correction stream (8-wide bundles through
-    /// `exclusion_correction_batch`) is bitwise identical to the scalar
-    /// per-pair reference.
+    /// `exclusion_correction_batch`, rank by rank) is bitwise identical to
+    /// the scalar per-pair reference.
     #[test]
     fn batched_corrections_match_scalar_oracle() {
         let sys = water_system(140, 17);
         let state = state_of(&sys);
-        let pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let pipe = ForcePipeline::new(&sys, Decomposition::Nodes(8), 1);
 
         let mut batched = RawForces::zeroed(sys.n_atoms());
         pipe.corrections(&state, &mut batched);
@@ -1916,10 +1732,10 @@ mod tests {
                 pipe.counters.match_batches,
             )
         };
-        let (cand, pairs, batches) = census(Decomposition::SingleRank);
+        let (cand, pairs, batches) = census(Decomposition::Nodes(1));
         assert!(pairs > 0 && pairs <= cand);
         assert!(batches >= pairs.div_ceil(8));
-        for nodes in [1usize, 8] {
+        for nodes in [8usize, 64] {
             let (c, p, b) = census(Decomposition::Nodes(nodes));
             assert_eq!(p, pairs, "{nodes} nodes found a different pair set");
             assert!(p <= c);
@@ -1929,11 +1745,90 @@ mod tests {
 }
 
 #[cfg(test)]
+mod dilute_box_tests {
+    //! A box wide enough that the cell tiling culls: 200 waters in 36 Å
+    //! with rc 3.5 Å, so the 4.5 Å match reach gives 8 cells per axis and
+    //! each `Nodes(8)` / `Nodes(64)` box spans 4 / 2 cells per axis.
+    use super::*;
+    use anton_forcefield::water::TIP3P;
+    use anton_geometry::PeriodicBox;
+    use anton_systems::spec::RunParams;
+    use anton_systems::waterbox::pure_water_topology;
+
+    fn dilute_system() -> System {
+        let pbox = PeriodicBox::cubic(36.0);
+        let (top, positions) = pure_water_topology(&pbox, &TIP3P, 200, 41);
+        System {
+            name: "dilute".into(),
+            pbox,
+            topology: top,
+            positions,
+            params: RunParams::paper(3.5, 16),
+        }
+    }
+
+    #[test]
+    fn culled_tiles_match_cellgrid_oracle_on_every_grid() {
+        let sys = dilute_system();
+        let state =
+            FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
+        let oracle_pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
+        let mut oracle = RawForces::zeroed(sys.n_atoms());
+        oracle_pipe.range_limited_cellgrid(&sys, &state, &mut oracle);
+        assert_ne!(oracle.e_range_limited, 0, "no pair in range");
+        for nodes in [1usize, 8, 64] {
+            for threads in [1usize, 4] {
+                let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(nodes), threads);
+                let mut out = RawForces::zeroed(sys.n_atoms());
+                pipe.range_limited(&sys, &state, &mut out);
+                assert_eq!(out, oracle, "{nodes} nodes × {threads} threads");
+            }
+        }
+    }
+
+    /// One node matches exactly the candidates of the plain cell grid:
+    /// all pairs inside a cell plus all pairs across listed cell pairs,
+    /// and no pair of cells too far apart to interact.
+    #[test]
+    fn one_node_candidates_equal_cell_grid_census() {
+        let sys = dilute_system();
+        let state =
+            FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
+        let e = sys.pbox.edge();
+        let tiling = CellTiling::build([e.x, e.y, e.z], sys.params.cutoff + PAIRLIST_SLACK, [1; 3]);
+        assert_eq!(tiling.cells_per_box(), 512);
+        let mut per_cell = vec![0u64; tiling.cells_per_box()];
+        for p in &state.positions {
+            per_cell[tiling.cell_of([p.0[0].raw(), p.0[1].raw(), p.0[2].raw()])] += 1;
+        }
+        let census: u64 = tiling
+            .pairs()
+            .iter()
+            .map(|&(a, b)| {
+                let (na, nb) = (per_cell[a as usize], per_cell[b as usize]);
+                if a == b {
+                    na * na.saturating_sub(1) / 2
+                } else {
+                    na * nb
+                }
+            })
+            .sum();
+        let n = sys.n_atoms() as u64;
+        assert!(census < n * (n - 1) / 2 / 4, "tiling barely culled");
+
+        let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
+        let mut out = RawForces::zeroed(sys.n_atoms());
+        pipe.range_limited(&sys, &state, &mut out);
+        assert_eq!(pipe.counters.match_candidates, census);
+    }
+}
+
+#[cfg(test)]
 mod batched_oracle_props {
     //! Property tests of the tentpole invariant: on random boxed atom
     //! sets, the batched HTIS-shaped pipeline reproduces the retained
-    //! scalar oracle's pair *set* and raw forces *bitwise*, across the
-    //! single-rank path and `Nodes {1, 8, 64}`.
+    //! scalar oracle's pair *set* and raw forces *bitwise* across
+    //! `Nodes {1, 8, 64}`.
     use super::*;
     use anton_fixpoint::Fx32;
     use anton_forcefield::water::TIP3P;
@@ -2013,14 +1908,11 @@ mod batched_oracle_props {
             }
             v
         };
-        let mut pairs: Vec<(u32, u32)> = match &pipe.single {
-            Some(st) => live(&st.queue, &st.tiles),
-            None => pipe
-                .scratch
-                .iter()
-                .flat_map(|s| live(&s.queue, &pipe.node_tiles))
-                .collect(),
-        };
+        let mut pairs: Vec<(u32, u32)> = pipe
+            .scratch
+            .iter()
+            .flat_map(|s| live(&s.queue, &pipe.node_tiles))
+            .collect();
         pairs.sort_unstable();
         pairs
     }
@@ -2033,13 +1925,9 @@ mod batched_oracle_props {
         state: &FixedState,
     ) -> RawForces {
         let mut out = RawForces::zeroed(sys.n_atoms());
-        {
-            let rs = pipe.ranks.as_mut().expect("nodes oracle needs ranks");
-            rs.prepare(state, &mut pipe.counters);
-        }
-        let rs = pipe.ranks.as_ref().expect("nodes oracle needs ranks");
-        for r in 0..rs.rank_count() {
-            pipe.rank_pairs(sys, state, rs, r, &mut out);
+        pipe.ranks.prepare(state, &mut pipe.counters);
+        for r in 0..pipe.ranks.rank_count() {
+            pipe.rank_pairs(sys, state, r, &mut out);
         }
         out
     }
@@ -2066,22 +1954,14 @@ mod batched_oracle_props {
             let state = state_of(&sys);
             let ctx = format!("case {case}: n={n} seed={seed} edge={edge_decis}");
 
-            // Single rank: batched vs cell-grid scalar oracle.
-            let mut sr = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
-            let mut batched = RawForces::zeroed(sys.n_atoms());
-            sr.range_limited(&sys, &state, &mut batched);
+            // The scalar cell-grid oracle's forces and pair set.
+            let oracle_pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
             let mut oracle = RawForces::zeroed(sys.n_atoms());
-            sr.range_limited_cellgrid(&sys, &state, &mut oracle);
-            assert_eq!(batched, oracle, "single-rank forces diverged ({ctx})");
-            let oracle_set = oracle_pairs(&sr, &sys, &state);
-            assert_eq!(
-                batched_pairs(&sr),
-                oracle_set,
-                "single-rank pair set ({ctx})"
-            );
+            oracle_pipe.range_limited_cellgrid(&sys, &state, &mut oracle);
+            let oracle_set = oracle_pairs(&oracle_pipe, &sys, &state);
 
-            // Nodes {1, 8, 64}: batched vs the scalar NT oracle and vs
-            // the single-rank result.
+            // Nodes {1, 8, 64}: batched vs the cell-grid oracle and vs the
+            // scalar NT oracle.
             for nodes in [1usize, 8, 64] {
                 let mut np = ForcePipeline::new(&sys, Decomposition::Nodes(nodes), 1);
                 let mut got = RawForces::zeroed(sys.n_atoms());
@@ -2114,9 +1994,8 @@ mod batched_oracle_props {
 
         // The fresh oracle is invalidated before every evaluation, so it
         // re-matches at the current positions each step.
-        let mut fresh = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let mut fresh = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
         let decomps = [
-            Decomposition::SingleRank,
             Decomposition::Nodes(1),
             Decomposition::Nodes(8),
             Decomposition::Nodes(64),
@@ -2170,7 +2049,7 @@ mod batched_oracle_props {
         for (c, s) in schedules.iter().enumerate().skip(1) {
             assert_eq!(
                 s, &schedules[0],
-                "{:?}: rebuild schedule diverged from SingleRank",
+                "{:?}: rebuild schedule diverged from Nodes(1)",
                 decomps[c]
             );
         }
@@ -2215,7 +2094,7 @@ mod virial_tests {
             params: RunParams::paper(7.0, 16),
         };
         let state = FixedState::from_f64(&pbox, &positions, &[Vec3::ZERO; 2]);
-        let mut pipe = ForcePipeline::new(&sys, Decomposition::SingleRank, 1);
+        let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
         let mut out = RawForces::zeroed(2);
         pipe.range_limited(&sys, &state, &mut out);
         let f0 = out.force_f64(0);
@@ -2246,7 +2125,7 @@ mod virial_tests {
         };
         let state = FixedState::from_f64(&pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
         let mut a = RawForces::zeroed(sys.n_atoms());
-        ForcePipeline::new(&sys, Decomposition::SingleRank, 1).range_limited(&sys, &state, &mut a);
+        ForcePipeline::new(&sys, Decomposition::Nodes(1), 1).range_limited(&sys, &state, &mut a);
         let mut b = RawForces::zeroed(sys.n_atoms());
         ForcePipeline::new(&sys, Decomposition::Nodes(8), 2).range_limited(&sys, &state, &mut b);
         assert_eq!(a.virial, b.virial);

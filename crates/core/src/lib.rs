@@ -5,8 +5,8 @@
 //! quantized to) Anton's fixed-point number formats, with forces produced by
 //! the PPIP function-table models of `anton-machine`, long-range
 //! electrostatics through the deterministic fixed-point Gaussian Split Ewald
-//! pipeline of `anton-ewald`, and work distributed (optionally) over a
-//! simulated node grid using the NT method of `anton-nt`.
+//! pipeline of `anton-ewald`, and work distributed over a simulated node
+//! grid (one node by default) using the NT method of `anton-nt`.
 //!
 //! The headline numerical properties of paper §4 hold by construction and
 //! are enforced by this crate's tests:
@@ -34,7 +34,7 @@
 //! let system = table4_system(&TABLE4[0], 1);           // gpW, 9,865 atoms
 //! let mut sim = AntonSimulation::builder(system)
 //!     .velocities_from_temperature(300.0, 42)
-//!     .decomposition(Decomposition::SingleRank)
+//!     .decomposition(Decomposition::Nodes(8))
 //!     .build();
 //! sim.run_cycles(10);
 //! println!("E_total = {} kcal/mol", sim.total_energy());

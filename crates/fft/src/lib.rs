@@ -11,11 +11,14 @@
 //!   butterflies in range; round-to-nearest/even matches the ASIC rule. The
 //!   Anton engine (`anton-core`) uses this path so that its entire force
 //!   pipeline is bit-reproducible.
-//! * [`distributed`] — the spatially distributed 3D FFT of paper §3.2.2 and
-//!   the companion SC'09 FFT paper: the mesh lives on an `nx×ny×nz` node
-//!   grid, and each of the three axis passes redistributes pencils with many
-//!   small messages (hundreds per node on the 512-node machine), which the
-//!   model counts for the performance model.
+//! * [`distributed`] — the spatially distributed fixed-point 3D FFT of
+//!   paper §3.2.2 and the companion SC'09 FFT paper
+//!   ([`FxDistributedFft3d`]): the mesh lives on an `nx×ny×nz` node grid,
+//!   and each of the three axis passes redistributes pencils with many
+//!   small messages (hundreds per node on the 512-node machine), counted
+//!   statically by [`pencil_pass_stats`] for the performance model. Its
+//!   output is bitwise equal to the serial fixed-point transform on every
+//!   node grid; the GSE mesh phase of `anton-core` runs on it.
 
 pub mod complex;
 pub mod distributed;
@@ -25,8 +28,7 @@ pub mod fixed;
 
 pub use complex::Complex;
 pub use distributed::{
-    pencil_pass_stats, CommStats, DistributedFft3d, FxDistributedFft3d, PassStats,
-    FX_BYTES_PER_POINT,
+    pencil_pass_stats, CommStats, FxDistributedFft3d, PassStats, FX_BYTES_PER_POINT,
 };
 pub use fft1d::Fft1d;
 pub use fft3d::Fft3d;

@@ -435,6 +435,20 @@ mod tests {
         state_checksum(&sim)
     }
 
+    /// A node count the engine cannot build is refused at submission, so
+    /// it never reaches the queue or a worker.
+    #[test]
+    fn submit_refuses_a_non_power_of_two_node_count() {
+        let fleet = temp_fleet("nodes3", 1, 1);
+        let mut s = spec("three-nodes", 2, 1);
+        s.nodes = 3;
+        let err = fleet.submit(s).unwrap_err();
+        assert_eq!(err.kind(), "spec_invalid");
+        assert!(fleet.list().is_empty(), "refused job was queued");
+        assert_eq!(fleet.ping(), (0, 0), "refused job was persisted");
+        cleanup(&fleet);
+    }
+
     #[test]
     fn preempted_jobs_reach_the_solo_checksum() {
         let fleet = temp_fleet("preempt", 1, 1);

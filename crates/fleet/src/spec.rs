@@ -20,6 +20,9 @@ use anton_systems::waterbox::pure_water_topology;
 use anton_systems::System;
 use std::fmt;
 
+/// Largest simulated node count a job may ask for (a 32³ torus).
+pub const MAX_NODES: u32 = 32_768;
+
 /// Content-derived job identifier: a labeled fingerprint of the full spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
@@ -62,7 +65,8 @@ pub struct JobSpec {
     pub cycles: u64,
     /// Scheduling priority: higher runs first; ties break on job id.
     pub priority: u32,
-    /// Simulated node decomposition (0 = single rank).
+    /// Simulated node count: a power of two up to 32768, or 0 as the
+    /// original spelling of one node (kept so existing job ids hold).
     pub nodes: u32,
     /// Worker threads for the per-rank fan-out (bitwise-invariant, but part
     /// of the checkpoint fingerprint, so it is pinned per job).
@@ -121,6 +125,12 @@ impl JobSpec {
                 self.temperature_k
             ));
         }
+        if self.nodes != 0 && !(self.nodes.is_power_of_two() && self.nodes <= MAX_NODES) {
+            return fail(format!(
+                "nodes {} is neither 0 nor a power of two up to {MAX_NODES}",
+                self.nodes
+            ));
+        }
         if self.cutoff <= 0.0 || self.cutoff * 2.0 >= self.box_edge {
             return fail(format!(
                 "cutoff {} incompatible with box edge {} (minimum image)",
@@ -164,13 +174,9 @@ impl JobSpec {
     /// scheduling history.
     pub fn builder(&self) -> Result<SimulationBuilder, FleetError> {
         let sys = self.build_system()?;
-        let decomposition = match self.nodes {
-            0 => Decomposition::SingleRank,
-            n => Decomposition::Nodes(n as usize),
-        };
         Ok(AntonSimulation::builder(sys)
             .velocities_from_temperature(self.temperature_k, self.velocity_seed)
-            .decomposition(decomposition)
+            .decomposition(Decomposition::Nodes(self.nodes.max(1) as usize))
             .threads(self.threads.max(1) as usize)
             .tracing(true))
     }
@@ -266,6 +272,20 @@ mod tests {
         let mut bad = sample();
         bad.temperature_k = f64::NAN;
         assert_eq!(bad.validate().unwrap_err().kind(), "spec_invalid");
+        for nodes in [3, 6, 48, 65_536, u32::MAX] {
+            let mut bad = sample();
+            bad.nodes = nodes;
+            assert_eq!(
+                bad.validate().unwrap_err().kind(),
+                "spec_invalid",
+                "nodes = {nodes}"
+            );
+        }
+        for nodes in [0, 1, 2, 8, 64, MAX_NODES] {
+            let mut ok = sample();
+            ok.nodes = nodes;
+            assert!(ok.validate().is_ok(), "nodes = {nodes}");
+        }
     }
 
     #[test]

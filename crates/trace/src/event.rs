@@ -52,7 +52,8 @@ pub enum Phase {
     FftInverse,
     /// Per-rank force interpolation from the shared potential mesh.
     Interpolate,
-    /// Monolithic reciprocal evaluation (single-rank decomposition only).
+    /// Umbrella span over one distributed reciprocal evaluation (the
+    /// spread, merge, FFT and interpolate sub-phases nest inside it).
     Reciprocal,
     /// Kick/drift/constraint/virtual-site work of the integrator.
     Integrate,

@@ -35,8 +35,8 @@ fn main() {
         sim.run_cycles(40);
         sim
     };
-    let a = run(Decomposition::SingleRank);
-    let b = run(Decomposition::SingleRank);
+    let a = run(Decomposition::Nodes(1));
+    let b = run(Decomposition::Nodes(1));
     println!(
         "determinism        : two runs bitwise equal  = {}",
         a.state == b.state
@@ -45,7 +45,7 @@ fn main() {
     // 2. Parallel invariance: same trajectory on a simulated 64-node torus.
     let c = run(Decomposition::Nodes(64));
     println!(
-        "parallel invariance: 1 rank vs 64 nodes      = {}",
+        "parallel invariance: 1 node vs 64 nodes      = {}",
         a.state == c.state
     );
 

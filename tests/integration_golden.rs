@@ -70,14 +70,9 @@ fn state_checksum(sim: &AntonSimulation) -> u64 {
 
 /// Run the golden configuration and return the per-cycle checksum sequence.
 fn run_golden(nodes: usize, threads: usize, tracing: bool) -> Vec<u64> {
-    let decomposition = if nodes == 1 {
-        Decomposition::SingleRank
-    } else {
-        Decomposition::Nodes(nodes)
-    };
     let mut sim = AntonSimulation::builder(golden_waterbox())
         .velocities_from_temperature(300.0, 7)
-        .decomposition(decomposition)
+        .decomposition(Decomposition::Nodes(nodes))
         .threads(threads)
         .tracing(tracing)
         .verify_every(1)
@@ -136,11 +131,7 @@ fn assert_resume_golden(nodes: usize) {
         for tracing in [false, true] {
             let ctx = format!("nodes={nodes} threads={threads} tracing={tracing}");
             let dir = scratch_ckpt_dir("resume", nodes, threads, tracing);
-            let decomposition = if nodes == 1 {
-                Decomposition::SingleRank
-            } else {
-                Decomposition::Nodes(nodes)
-            };
+            let decomposition = Decomposition::Nodes(nodes);
             {
                 let mut sim = AntonSimulation::builder(golden_waterbox())
                     .velocities_from_temperature(300.0, 7)

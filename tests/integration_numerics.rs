@@ -51,8 +51,8 @@ fn full_engine_is_parallel_invariant_with_all_force_classes() {
         sim.run_cycles(4);
         sim.state
     };
-    let reference = run(Decomposition::SingleRank);
-    for nodes in [2usize, 16, 128] {
+    let reference = run(Decomposition::Nodes(1));
+    for nodes in [2usize, 8, 64, 128] {
         assert_eq!(
             run(Decomposition::Nodes(nodes)),
             reference,
@@ -64,7 +64,7 @@ fn full_engine_is_parallel_invariant_with_all_force_classes() {
 #[test]
 fn full_engine_reversibility_without_constraints() {
     // Paper §4: exact reversibility holds without constraints/thermostat —
-    // on a single rank and equally on a decomposed, multi-threaded engine
+    // on one node and equally on a decomposed, multi-threaded engine
     // (the rank fan-out only reorders wrapping adds, which cancel exactly
     // under velocity negation too).
     let reverse_run = |decomposition, threads| {
@@ -85,7 +85,7 @@ fn full_engine_reversibility_without_constraints() {
             "reversibility violated: {decomposition:?}, {threads} threads"
         );
     };
-    reverse_run(Decomposition::SingleRank, 1);
+    reverse_run(Decomposition::Nodes(1), 1);
     reverse_run(Decomposition::Nodes(8), 4);
 }
 

@@ -2,7 +2,8 @@
 //! the performance model coherently, and the model hits the paper's
 //! calibration targets from real (not hard-coded) workload counts.
 
-use anton_core::system_stats;
+use anton_core::{system_stats, Decomposition, FixedState, ForcePipeline, RawForces};
+use anton_geometry::Vec3;
 use anton_machine::PerfModel;
 use anton_systems::{bpti, table4_system, TABLE4};
 
@@ -82,4 +83,20 @@ fn all_table4_systems_build_and_validate() {
             s.density()
         );
     }
+}
+
+#[test]
+fn one_node_gpw_matches_the_cell_grid_census() {
+    // A single node splits its one home box into the static cell tiling and
+    // matches the box against itself cell pair by cell pair, so a cold
+    // rebuild on gpW examines the cell grid's candidates, not all
+    // n(n−1)/2 = 48,654,180 pairs of the 9,865 atoms.
+    let sys = table4_system(&TABLE4[0], 3);
+    assert_eq!(sys.n_atoms(), 9865);
+    let state = FixedState::from_f64(&sys.pbox, &sys.positions, &vec![Vec3::ZERO; sys.n_atoms()]);
+    let mut pipe = ForcePipeline::new(&sys, Decomposition::Nodes(1), 1);
+    let mut out = RawForces::zeroed(sys.n_atoms());
+    pipe.range_limited(&sys, &state, &mut out);
+    assert_eq!(pipe.counters.rebuild_steps, 1);
+    assert_eq!(pipe.counters.match_candidates, 20_597_594);
 }
